@@ -384,16 +384,6 @@ fn migration_storm(seed: u64, violations: &mut Vec<String>) -> (u64, u64, u64) {
 
 /// Run one seeded chaos schedule to completion and audit the invariants.
 pub fn run_chaos(seed: u64) -> ChaosReport {
-    run_chaos_sharded(seed, None).0
-}
-
-/// [`run_chaos`] with an explicit shard worker-thread count (`None` keeps
-/// the process-wide `OASIS_SHARD_THREADS` setting), also returning the
-/// pod's final [`oasis_obs::MetricsSnapshot`] as JSON. The snapshot is the
-/// associative merge the observability exporter performs, so comparing the
-/// JSON across thread counts asserts the whole sanitize/obs stack — not
-/// just the invariant audit — is thread-count-invariant.
-pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, String) {
     let cfg = OasisConfig::default();
     let mut b = PodBuilder::new(cfg.clone());
     let h0 = b.add_host(); // echo instance + storage driver (never crashed)
@@ -402,9 +392,6 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
     let h3 = b.add_nic_host(); // backup NIC 1
     b.add_ssd(h2, SsdConfig::default()); // pooled SSD 0
     let mut pod = b.backup_nic_on(h3).build();
-    if let Some(n) = threads {
-        pod.set_shard_threads(n);
-    }
 
     let echo = pod.launch_instance(
         h0,
@@ -646,7 +633,7 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
     // the same numbers the observability exporter would.
     let snap = pod.metrics_snapshot();
     use oasis_core::metrics as m;
-    let report = ChaosReport {
+    ChaosReport {
         seed,
         classes,
         events,
@@ -658,6 +645,5 @@ pub fn run_chaos_sharded(seed: u64, threads: Option<usize>) -> (ChaosReport, Str
         storage_replays_answered: snap.counter(m::STORAGE_BE_REPLAYS_ANSWERED, 0),
         probe,
         migrations,
-    };
-    (report, snap.to_json())
+    }
 }

@@ -7,8 +7,10 @@
 //! CXL link meters can split payload from message traffic (Table 3).
 
 use oasis_channel::{ChannelLayout, Policy, Receiver, Sender, DEFAULT_SLOTS, MSG16};
-use oasis_cxl::pool::TrafficClass;
-use oasis_cxl::{CxlPool, Region, RegionAllocator};
+use oasis_cxl::dma::{DmaMemory, MemRef};
+use oasis_cxl::pool::{PortId, TrafficClass};
+use oasis_cxl::{CxlPool, HostCtx, Region, RegionAllocator};
+use oasis_sim::time::SimTime;
 
 /// A pool-backed packet-buffer allocator (free-list over fixed-size slots).
 ///
@@ -105,6 +107,53 @@ impl crate::snapshot::Snapshottable for BufferArea {
         }
         self.free = free;
         Ok(())
+    }
+}
+
+/// The DMA context a backend hands its device for one step: every Oasis
+/// I/O buffer lives in the pool, reached through the backend host's port.
+pub(crate) struct PoolDma<'a> {
+    pool: &'a mut CxlPool,
+    port: PortId,
+    dma_cxl_ns: u64,
+}
+
+impl<'a> PoolDma<'a> {
+    /// DMA into `pool` through `core`'s port at its CXL DMA latency.
+    pub(crate) fn new(pool: &'a mut CxlPool, core: &HostCtx) -> Self {
+        PoolDma {
+            pool,
+            port: core.port,
+            dma_cxl_ns: core.costs.dma_cxl_ns,
+        }
+    }
+}
+
+impl DmaMemory for PoolDma<'_> {
+    fn dma_read(&mut self, now: SimTime, mem: MemRef, out: &mut [u8]) {
+        match mem {
+            MemRef::Pool(a) => self.pool.dma_read(now, self.port, a, out),
+            MemRef::HostLocal(_) => {
+                // Oasis buffers live in the pool by construction; a local
+                // ref here is a wiring bug, surfaced in debug builds and
+                // answered with zeroes in release.
+                debug_assert!(false, "oasis buffers live in the pool");
+                out.fill(0);
+            }
+        }
+    }
+    fn dma_write(&mut self, now: SimTime, mem: MemRef, data: &[u8]) {
+        match mem {
+            MemRef::Pool(a) => self.pool.dma_write(now, self.port, a, data),
+            MemRef::HostLocal(_) => {
+                // See dma_read: a local ref cannot occur; drop the write
+                // rather than crash the pod.
+                debug_assert!(false, "oasis buffers live in the pool");
+            }
+        }
+    }
+    fn dma_latency_ns(&self, _mem: MemRef) -> u64 {
+        self.dma_cxl_ns
     }
 }
 

@@ -5,12 +5,12 @@ use oasis_cxl::{CxlPool, HostCtx, RegionAllocator};
 use oasis_sim::time::SimTime;
 use oasis_storage::ssd::{Ssd, SsdConfig};
 
-use crate::config::OasisConfig;
-use crate::datapath::BufferArea;
+use oasis_storage::command::NvmeCommand;
 
-use super::alloc_storage_channel;
-use super::backend::StorageBackend;
-use super::frontend::StorageFrontend;
+use crate::config::OasisConfig;
+use crate::datapath::{alloc_descriptor_channel, BufferArea};
+
+use super::{StorageBackend, StorageFrontend};
 
 /// A minimal two-host storage pod for tests and benchmarks: instances on
 /// host 0 reach an SSD attached to host 1 through the storage engine.
@@ -36,8 +36,8 @@ impl StoragePod {
             data_buf_size * 64,
             TrafficClass::Payload,
         );
-        let cmd = alloc_storage_channel(&mut pool, &mut ra, "fe0->be0.cmd", 1024);
-        let cpl = alloc_storage_channel(&mut pool, &mut ra, "be0->fe0.cpl", 1024);
+        let cmd = alloc_descriptor_channel::<NvmeCommand>(&mut pool, &mut ra, "fe0->be0.cmd", 1024);
+        let cpl = alloc_descriptor_channel::<NvmeCommand>(&mut pool, &mut ra, "be0->fe0.cpl", 1024);
 
         let mut frontend = StorageFrontend::new(
             0,
@@ -45,7 +45,7 @@ impl StoragePod {
             cfg.clone(),
             BufferArea::new(data_region, data_buf_size),
         );
-        frontend.add_ssd_link(0, cmd.sender, cpl.receiver);
+        frontend.add_device_link(0, cmd.sender, cpl.receiver);
 
         let mut backend = StorageBackend::new(0, 1, HostCtx::new(PortId(1), 0), cfg);
         backend.add_frontend_link(0, cpl.sender, cmd.receiver);

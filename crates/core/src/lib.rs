@@ -51,6 +51,7 @@ pub mod datapath;
 pub mod engine;
 pub mod engine_accel;
 pub mod engine_net;
+pub mod engine_request;
 pub mod engine_storage;
 pub mod error;
 pub mod fleet;

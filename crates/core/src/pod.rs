@@ -19,7 +19,7 @@
 //! detection, telemetry, failover rerouting, graceful migration — all flow
 //! through message channels with simulated timing.
 
-use oasis_accel::{AccelConfig, AccelDevice, AccelOp};
+use oasis_accel::{AccelCommand, AccelConfig, AccelDevice, AccelOp};
 use oasis_cxl::pool::{PortId, TrafficClass};
 use oasis_cxl::region::Region;
 use oasis_cxl::{CxlPool, HostCtx, RegionAllocator};
@@ -32,19 +32,20 @@ use oasis_sim::fault::{
     AccelFaultMode, FaultInjector, FaultKind, FaultPlan, PacketFaultState, SsdFaultMode,
 };
 use oasis_sim::sched::{Scheduler, StepCtx, StepOutcome};
-use oasis_sim::shard::{self, Envelope, Outgoing, ShardWorld, ShardedRunner};
+use oasis_sim::shard::{Envelope, Outgoing, ShardWorld};
 use oasis_sim::time::{SimDuration, SimTime};
 
+use oasis_storage::command::NvmeCommand;
 use oasis_storage::ssd::{Ssd, SsdConfig};
 
 use crate::allocator::{AllocCommand, PodAllocator};
 use crate::baseline::LocalDriver;
 use crate::config::{BufferPlacement, OasisConfig};
-use crate::datapath::{alloc_net_channel, BufferArea};
+use crate::datapath::{alloc_descriptor_channel, alloc_net_channel, BufferArea};
 use crate::engine::{DeviceEngine, EngineFault, EngineWorld};
-use crate::engine_accel::{alloc_accel_channel, AccelBackend, AccelFrontend, JobResult};
+use crate::engine_accel::{AccelBackend, AccelFrontend, JobResult};
 use crate::engine_net::{BackendDriver, FrontendDriver};
-use crate::engine_storage::{alloc_storage_channel, StorageBackend, StorageFrontend};
+use crate::engine_storage::{StorageBackend, StorageFrontend};
 use crate::error::PodError;
 use crate::instance::{AppKind, Instance};
 use crate::snapshot::{
@@ -323,9 +324,6 @@ pub struct Pod {
     /// Frames that egressed on an uplink this window, awaiting relay by the
     /// fleet layer: `(egress_time, uplink, frame)`.
     pub(crate) uplink_out: Vec<(SimTime, usize, Frame)>,
-    /// Persistent sharded-execution driver for [`Pod::run`] (single shard);
-    /// carries the window cursor and pooled buffers across calls.
-    shard_runner: Option<ShardedRunner<UplinkMsg>>,
     pending: EventQueue<PodEvent>,
     ra: RegionAllocator,
     /// Per-instance TX-area region, kept so a host-failure reclaim can
@@ -611,19 +609,19 @@ impl PodBuilder {
                 BufferArea::new(data_region, self.cfg.storage_buf_size),
             );
             for (ssd_id, be) in storage_backends.iter_mut().enumerate() {
-                let cmd = alloc_storage_channel(
+                let cmd = alloc_descriptor_channel::<NvmeCommand>(
                     &mut pool,
                     &mut ra,
                     &format!("sfe{host}->sbe{ssd_id}"),
                     1024,
                 );
-                let cpl = alloc_storage_channel(
+                let cpl = alloc_descriptor_channel::<NvmeCommand>(
                     &mut pool,
                     &mut ra,
                     &format!("sbe{ssd_id}->sfe{host}"),
                     1024,
                 );
-                fe.add_ssd_link(ssd_id, cmd.sender, cpl.receiver);
+                fe.add_device_link(ssd_id, cmd.sender, cpl.receiver);
                 be.add_frontend_link(host, cpl.sender, cmd.receiver);
             }
             storage_frontends.push(Some(fe));
@@ -664,19 +662,19 @@ impl PodBuilder {
                 BufferArea::new(data_region, self.cfg.accel_buf_size),
             );
             for (dev_id, be) in accel_backends.iter_mut().enumerate() {
-                let cmd = alloc_accel_channel(
+                let cmd = alloc_descriptor_channel::<AccelCommand>(
                     &mut pool,
                     &mut ra,
                     &format!("afe{host}->abe{dev_id}"),
                     1024,
                 );
-                let cpl = alloc_accel_channel(
+                let cpl = alloc_descriptor_channel::<AccelCommand>(
                     &mut pool,
                     &mut ra,
                     &format!("abe{dev_id}->afe{host}"),
                     1024,
                 );
-                fe.add_accel_link(dev_id, cmd.sender, cpl.receiver);
+                fe.add_device_link(dev_id, cmd.sender, cpl.receiver);
                 be.add_frontend_link(host, cpl.sender, cmd.receiver);
             }
             accel_frontends.push(Some(fe));
@@ -707,7 +705,6 @@ impl PodBuilder {
             site: self.site,
             uplink_port: Vec::new(),
             uplink_out: Vec::new(),
-            shard_runner: None,
             pending: EventQueue::new(),
             ra,
             inst_region: Vec::new(),
@@ -1396,33 +1393,18 @@ impl Pod {
 
     /// Run the co-simulation until every component's clock reaches `until`.
     ///
-    /// The pod is driven through the sharded runner (`oasis_sim::shard`) as
-    /// a single shard: one window spans the whole horizon and falls through
-    /// to [`Pod::run_local`], so the simulated timeline is byte-identical
-    /// at any `OASIS_SHARD_THREADS` setting. Multi-pod simulations shard at
-    /// pod granularity via [`crate::fleet::Fleet`], which shares this exact
-    /// window machinery.
+    /// A horizon at or behind the pod clock is a no-op, and a horizon with
+    /// no work before it only moves the clock. Multi-pod simulations shard
+    /// at pod granularity via [`crate::fleet::Fleet`], which drives
+    /// [`Pod::run_local`] one conservative window at a time.
     pub fn run(&mut self, until: SimTime) {
-        let mut runner = self
-            .shard_runner
-            .take()
-            .unwrap_or_else(|| ShardedRunner::new(1, SimDuration::ZERO, shard_threads()));
-        // A single shard cannot produce `ZeroLookahead` (it needs > 1).
-        let _ = runner.run_seq(std::slice::from_mut(self), until);
-        self.shard_runner = Some(runner);
-        self.now = self.now.max(until);
-    }
-
-    /// Override the shard worker-thread count for this pod, replacing the
-    /// process-wide `OASIS_SHARD_THREADS` setting. The env read is cached
-    /// once per process, so tests comparing thread counts in-process use
-    /// this instead. Must be called before the first [`Pod::run`].
-    pub fn set_shard_threads(&mut self, threads: usize) {
-        assert!(
-            self.shard_runner.is_none(),
-            "set_shard_threads before the first run"
-        );
-        self.shard_runner = Some(ShardedRunner::new(1, SimDuration::ZERO, threads));
+        if until <= self.now {
+            return;
+        }
+        if self.next_activity() < until {
+            self.run_local(until);
+        }
+        self.now = until;
     }
 
     /// Bump the pod clock to the end of a horizon driven externally (by
@@ -1891,15 +1873,6 @@ impl Pod {
 /// frame)`. The destination index is resolved by the fleet layer's routing
 /// table before the message is enqueued.
 pub type UplinkMsg = (usize, Frame);
-
-/// The process-wide `OASIS_SHARD_THREADS` setting, read once. Figure
-/// binaries and CI set the variable before launch, so a cached read keeps
-/// the per-`run` overhead at one atomic load.
-fn shard_threads() -> usize {
-    // oasis-check: allow(thread-discipline) write-once env cache, never mutated after init
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(shard::threads_from_env)
-}
 
 impl ShardWorld for Pod {
     type Msg = UplinkMsg;

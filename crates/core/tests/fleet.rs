@@ -6,7 +6,9 @@
 //! reply crosses the uplink and therefore exercises the conservative
 //! window exchange. The whole simulation is then repeated at several
 //! worker thread counts and the canonical metric snapshots must compare
-//! equal byte for byte.
+//! equal byte for byte. Built with `--features sanitize,obs`, the same
+//! comparison covers the ambient telemetry, and the coherence sanitizer
+//! must report zero errors on every pod at every thread count.
 
 use std::collections::VecDeque;
 
@@ -121,7 +123,8 @@ impl Endpoint for Client {
 }
 
 /// Build the two-pod scenario and run it to 4 ms with `threads` workers.
-/// Returns (per-pod instance datagram counts, fleet snapshot JSON).
+/// Returns (per-pod instance datagram counts, fleet snapshot JSON). With
+/// the sanitizer compiled in, also asserts it saw no coherence errors.
 fn run_cross_pod(threads: usize) -> (Vec<u64>, String) {
     let mut fleet = Fleet::with_threads(threads);
 
@@ -177,6 +180,16 @@ fn run_cross_pod(threads: usize) -> (Vec<u64>, String) {
         .enumerate()
         .map(|(p, &i)| fleet.pod(p).instances[i].stats.udp_datagrams)
         .collect();
+    #[cfg(feature = "sanitize")]
+    for p in 0..insts.len() {
+        let san = &fleet.pod(p).pool.san;
+        assert_eq!(
+            san.error_count(),
+            0,
+            "pod {p} at {threads} threads: {}",
+            san.summary()
+        );
+    }
     (served, fleet.metrics_snapshot().to_json())
 }
 
