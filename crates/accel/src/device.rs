@@ -156,6 +156,20 @@ impl AccelDevice {
         self.sq.len()
     }
 
+    /// Is job `cid` from `frontend` still inside the device: queued,
+    /// executing, or finished but not yet polled? A job swallowed by a
+    /// timeout window is not held — no completion will ever come for it.
+    pub fn holds(&self, frontend: u32, cid: u16) -> bool {
+        self.sq
+            .iter()
+            .any(|(_, c)| c.cid == cid && c.frontend == frontend)
+            || self
+                .in_flight
+                .iter()
+                .chain(&self.cq)
+                .any(|f| f.completion.cid == cid && f.completion.frontend == frontend)
+    }
+
     fn validate(&self, cmd: &AccelCommand) -> AccelStatus {
         if self.failed {
             return AccelStatus::DeviceFailure;

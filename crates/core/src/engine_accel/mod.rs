@@ -164,6 +164,9 @@ impl RequestDevice for AccelDevice {
     fn poll_completions(&mut self, now: SimTime) -> Vec<AccelCompletion> {
         AccelDevice::poll_completions(self, now)
     }
+    fn holds(&self, frontend: u32, cid: u16) -> bool {
+        AccelDevice::holds(self, frontend, cid)
+    }
 }
 
 impl AccelFrontend {

@@ -23,7 +23,8 @@ struct FeLink<O> {
     to: Sender,
     from: Receiver,
     /// Recently completed command ids (exactly-once execution: replays of
-    /// these are answered from `done`, not re-executed).
+    /// these are answered from `done`, not re-executed; replays of ids the
+    /// device still holds are dropped).
     seen: SeqWindow,
     /// Completion outcome per remembered id, evicted in lockstep with
     /// `seen`.
@@ -134,6 +135,12 @@ impl<D: RequestDevice> RequestBackend<D> {
                     // completion): answer from the cache, never re-execute.
                     self.stats.replays_answered += 1;
                     self.send_completion(pool, cid, frontend, o);
+                    continue;
+                }
+                if dev.holds(frontend, cid) {
+                    // Replay of a command the device still holds (the
+                    // frontend timed out while it waited in the queue):
+                    // the original's completion answers both, so drop it.
                     continue;
                 }
                 if dev.submit(self.core.clock, cmd) {

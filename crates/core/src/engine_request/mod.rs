@@ -125,4 +125,7 @@ pub trait RequestDevice: Sized {
     fn process(&mut self, now: SimTime, dma: &mut dyn DmaMemory);
     /// Drain completions that finished by `now`.
     fn poll_completions(&mut self, now: SimTime) -> Vec<Self::Completion>;
+    /// Is command `cid` from `frontend` still inside the device, so that
+    /// its own completion is still to come?
+    fn holds(&self, frontend: u32, cid: u16) -> bool;
 }

@@ -145,6 +145,9 @@ impl RequestDevice for Ssd {
     fn poll_completions(&mut self, now: SimTime) -> Vec<NvmeCompletion> {
         Ssd::poll_completions(self, now)
     }
+    fn holds(&self, frontend: u32, cid: u16) -> bool {
+        Ssd::holds(self, frontend, cid)
+    }
 }
 
 impl StorageFrontend {

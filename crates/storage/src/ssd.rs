@@ -170,6 +170,20 @@ impl Ssd {
         self.sq.len()
     }
 
+    /// Is command `cid` from `frontend` still inside the drive: queued,
+    /// executing, or finished but not yet polled? A command swallowed by a
+    /// timeout window is not held — no completion will ever come for it.
+    pub fn holds(&self, frontend: u32, cid: u16) -> bool {
+        self.sq
+            .iter()
+            .any(|c| c.cid == cid && c.frontend == frontend)
+            || self
+                .in_flight
+                .iter()
+                .chain(&self.cq)
+                .any(|f| f.completion.cid == cid && f.completion.frontend == frontend)
+    }
+
     fn validate(&self, cmd: &NvmeCommand) -> NvmeStatus {
         if self.failed {
             return NvmeStatus::DeviceFailure;
@@ -444,6 +458,24 @@ mod tests {
         assert!(ssd.submit(read_cmd(1, 0, 1, 0)));
         assert!(!ssd.submit(read_cmd(2, 0, 1, 0)));
         assert_eq!(ssd.stats.sq_rejected, 1);
+    }
+
+    #[test]
+    fn holds_covers_queued_and_executing_commands_only() {
+        let mut ssd = Ssd::new(SsdConfig::default());
+        let mut mem = FlatMem { mem: vec![0; 8192] };
+        ssd.submit(read_cmd(7, 0, 1, 0));
+        assert!(ssd.holds(0, 7), "queued");
+        assert!(!ssd.holds(1, 7), "same cid, other frontend");
+        ssd.process(t(0), &mut mem);
+        assert!(ssd.holds(0, 7), "executing");
+        ssd.process(t(1_000_000), &mut mem);
+        assert_eq!(ssd.poll_completions(t(1_000_000)).len(), 1);
+        assert!(!ssd.holds(0, 7), "completed and polled");
+        ssd.inject_timeout_until(t(2_000_000));
+        ssd.submit(read_cmd(8, 0, 1, 0));
+        ssd.process(t(1_000_000), &mut mem);
+        assert!(!ssd.holds(0, 8), "swallowed");
     }
 
     #[test]
