@@ -246,10 +246,20 @@ impl<D: RequestDevice> Snapshottable for RequestBackend<D> {
             }
             let dup_hits = r.u64("request-be dedup hits")?;
             link.seen = SeqWindow::from_parts(capacity, &order, dup_hits);
+            // The cache and the window are two books of one fact: every
+            // cached id is a remembered id. A cached id outside the window
+            // would never be evicted and would answer a fresh command with
+            // a stale outcome, so a disagreement is corruption.
             let done_len = r.u64("request-be cache count")?;
+            if done_len > link.seen.len() as u64 {
+                return Err(SnapshotError::Corrupt("request-be cache count"));
+            }
             link.done.clear();
             for _ in 0..done_len {
                 let cid = r.u16("request-be cache cid")?;
+                if !link.seen.contains(cid) {
+                    return Err(SnapshotError::Corrupt("request-be cache cid"));
+                }
                 let o = D::get_outcome(r)?;
                 link.done.insert(cid, o);
             }

@@ -121,3 +121,45 @@ fn restore_rejects_garbage() {
     truncated.truncate(truncated.len() / 2);
     assert!(pod.restore(&truncated).is_err());
 }
+
+/// The storage backend's dedup window and completion cache are two books
+/// of one fact: every cached command id is a remembered id. A snapshot
+/// whose cache names an id the window does not hold, or holds more entries
+/// than the window, would leave an entry that is never evicted and answers
+/// a fresh command with a stale status — restore must reject it.
+#[test]
+fn restore_rejects_a_completion_cache_out_of_step_with_the_dedup_window() {
+    use oasis_core::engine_storage::StoragePod;
+    use oasis_core::snapshot::{SnapshotReader, SnapshotWriter, Snapshottable};
+    let new_pod = || StoragePod::new(OasisConfig::default(), SsdConfig::default(), BLOCK_SIZE);
+
+    let mut src = new_pod();
+    let cid = src.frontend.submit_read(&mut src.pool, 0, 0, 1).unwrap();
+    src.run_until_completions(1, SimTime::from_millis(50));
+    let mut w = SnapshotWriter::new();
+    src.backend.snapshot_state(&mut w);
+    let good = w.finish();
+    let restore = |bytes: &[u8]| {
+        let mut r = SnapshotReader::open(bytes).unwrap();
+        new_pod().backend.restore_state(&mut r)
+    };
+    assert_eq!(restore(&good), Ok(()));
+
+    // The snapshot ends with the window's one id, its one cache entry
+    // (cid, status byte) and nothing else.
+    let entry = good.len() - 3;
+    assert_eq!(good[entry..entry + 2], cid.to_le_bytes());
+    let count = entry - 8;
+    assert_eq!(good[count..entry], 1u64.to_le_bytes());
+
+    // A cached cid the window never saw.
+    let mut stray = good.clone();
+    stray[entry..entry + 2].copy_from_slice(&cid.wrapping_add(1).to_le_bytes());
+    assert!(matches!(restore(&stray), Err(SnapshotError::Corrupt(_))));
+
+    // A cache longer than the window.
+    let mut long = good.clone();
+    long[count..entry].copy_from_slice(&2u64.to_le_bytes());
+    long.extend_from_slice(&good[entry..]);
+    assert!(matches!(restore(&long), Err(SnapshotError::Corrupt(_))));
+}
