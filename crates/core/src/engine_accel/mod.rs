@@ -25,8 +25,7 @@ use oasis_sim::time::SimTime;
 use crate::config::OasisConfig;
 use crate::engine::EngineWorld;
 use crate::engine_request::{
-    CmdBufs, RequestBackend, RequestBeStats, RequestDevice, RequestFeStats, RequestFrontend,
-    RequestMetrics,
+    CmdBufs, RequestBackend, RequestDevice, RequestFrontend, RequestMetrics,
 };
 use crate::metrics as m;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
@@ -35,10 +34,6 @@ use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub type AccelFrontend = RequestFrontend<AccelDevice>;
 /// The accel backend driver: runs only on hosts with local accelerators.
 pub type AccelBackend = RequestBackend<AccelDevice>;
-/// Accel frontend counters.
-pub type AccelFeStats = RequestFeStats;
-/// Accel backend counters.
-pub type AccelBeStats = RequestBeStats;
 
 /// A completed offload job returned to the caller.
 #[derive(Clone, Debug)]

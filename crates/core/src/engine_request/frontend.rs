@@ -274,9 +274,8 @@ impl<D: RequestDevice> RequestFrontend<D> {
                 };
                 if D::is_transient(outcome) && p.retry.can_retry(&policy) {
                     if D::RESEND_TRANSIENT_AT_ONCE {
-                        // Transient media error (injected fault window):
-                        // burn an attempt and resubmit instead of
-                        // surfacing it.
+                        // Burn an attempt and resubmit at once instead of
+                        // surfacing the transient error.
                         p.retry.rearm(&policy, self.core.clock);
                         self.stats.retries += 1;
                         let (dev, cmd) = (p.dev, p.cmd);

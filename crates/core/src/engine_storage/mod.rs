@@ -34,8 +34,7 @@ use oasis_storage::BLOCK_SIZE;
 use crate::config::OasisConfig;
 use crate::engine::EngineWorld;
 use crate::engine_request::{
-    CmdBufs, RequestBackend, RequestBeStats, RequestDevice, RequestFeStats, RequestFrontend,
-    RequestMetrics,
+    CmdBufs, RequestBackend, RequestDevice, RequestFrontend, RequestMetrics,
 };
 use crate::metrics as m;
 use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
@@ -44,10 +43,6 @@ use crate::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 pub type StorageFrontend = RequestFrontend<Ssd>;
 /// The storage backend driver: runs only on hosts with local SSDs.
 pub type StorageBackend = RequestBackend<Ssd>;
-/// Storage frontend counters.
-pub type StorageFeStats = RequestFeStats;
-/// Storage backend counters.
-pub type StorageBeStats = RequestBeStats;
 
 /// A completed block I/O returned to the caller.
 #[derive(Clone, Debug)]

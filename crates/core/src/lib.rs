@@ -17,11 +17,16 @@
 //!   host driving the NIC's queue pairs. Includes NIC failover via a pod
 //!   backup NIC with MAC borrowing (§3.3.3) and graceful migration with
 //!   GARP (§3.3.4).
-//! * [`engine_storage`] — the storage engine (§3.4): block I/O forwarded as
-//!   64 B NVMe-mirroring messages; drive failures propagate as I/O errors.
-//! * [`engine_accel`] — the compute-offload engine: DMA job submission to
-//!   pooled accelerators over the same 64 B descriptor discipline, proving
-//!   the [`engine`] abstraction generalizes past NICs and SSDs.
+//! * [`engine_request`] — the one request/completion engine behind storage
+//!   and compute offload: frontend and backend drivers generic over a
+//!   device trait, with retry, crash-restart replay, and exactly-once
+//!   dedup written once.
+//! * [`engine_storage`] — the storage engine (§3.4): the SSD's device impl;
+//!   block I/O forwarded as 64 B NVMe-mirroring messages; drive failures
+//!   propagate as I/O errors.
+//! * [`engine_accel`] — the compute-offload engine: the accelerator's
+//!   device impl, proving the [`engine`] abstraction generalizes past NICs
+//!   and SSDs.
 //! * [`engine`] — the generic device-engine contract all three engines (and
 //!   the baseline) implement; the pod runtime schedules every engine core
 //!   through it as an actor on `oasis_sim::Scheduler`.

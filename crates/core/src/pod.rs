@@ -1395,8 +1395,8 @@ impl Pod {
     ///
     /// A horizon at or behind the pod clock is a no-op, and a horizon with
     /// no work before it only moves the clock. Multi-pod simulations shard
-    /// at pod granularity via [`crate::fleet::Fleet`], which drives
-    /// [`Pod::run_local`] one conservative window at a time.
+    /// at pod granularity via [`crate::fleet::Fleet`], which drives the
+    /// same per-pod scheduler one conservative window at a time.
     pub fn run(&mut self, until: SimTime) {
         if until <= self.now {
             return;

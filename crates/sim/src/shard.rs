@@ -211,7 +211,7 @@ impl<M> Default for ShardBuf<M> {
 /// Advances N [`ShardWorld`]s in lockstep windows with deterministic
 /// cross-shard message exchange. Owns the window cursor and the pooled
 /// message arenas, and persists across `run` calls so repeated stepping
-/// (the `Pod::run`-in-a-loop pattern every bench uses) reuses buffers.
+/// (a fleet run in short horizons) reuses buffers.
 pub struct ShardedRunner<M> {
     threads: usize,
     lookahead: SimDuration,
@@ -480,8 +480,7 @@ impl<M> ShardedRunner<M> {
         }
         self.now = self.now.max(earliest);
         // A single shard has no cross-shard links: infinite lookahead, one
-        // window to the horizon. This is what makes a pod run through the
-        // sharded runner byte-identical to the legacy loop.
+        // window to the horizon, exactly the sequential event loop.
         if self.bufs.len() <= 1 {
             return Some(until);
         }
@@ -649,8 +648,8 @@ mod tests {
 
     #[test]
     fn stepped_run_matches_single_run() {
-        // The Pod::run-in-a-loop pattern: many short horizons must land in
-        // the same state as one long one.
+        // Stepping in many short horizons must land in the same state as
+        // one long one.
         let one_shot = run_ring(1);
         let mut worlds = ring();
         let mut runner = ShardedRunner::new(3, SimDuration::from_nanos(100), 2);
